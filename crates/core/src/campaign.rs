@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default memory budget for the checkpoint store (the recorder doubles
@@ -325,8 +325,8 @@ pub struct CampaignStats {
     /// attempt and its retry counts twice).
     #[serde(default)]
     pub panics: usize,
-    /// Panicked runs the supervisor re-executed once from the quarantine
-    /// queue, to distinguish deterministic poison runs from incidental
+    /// Panicked runs the supervisor re-executed once, on a freshly built
+    /// device, to distinguish deterministic poison runs from incidental
     /// failures.
     #[serde(default)]
     pub retries: usize,
@@ -813,7 +813,7 @@ fn oracle_golden_image(
     Ok(gpu.oracle_global_image().expect("oracle attached above"))
 }
 
-/// `one_run`'s oracle verdict (all `false` outside `--oracle-check`).
+/// An injection run's oracle verdict (all `false` outside `--oracle-check`).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OracleVerdict {
     /// The run executed under the early-exit probe.
@@ -825,58 +825,145 @@ pub(crate) struct OracleVerdict {
     mismatch: bool,
 }
 
-/// Executes one pre-drawn injection run and classifies it.
-pub(crate) fn one_run(
-    workload: &dyn Workload,
-    card: &GpuConfig,
-    cfg: &CampaignConfig,
-    golden: &GoldenProfile,
-    run: &RunPlan,
-    store: Option<&Arc<CheckpointStore>>,
-    oracle_img: Option<&[u8]>,
-) -> (RunRecord, OracleVerdict) {
-    let mut gpu = Gpu::new(card.clone());
-    // Fork from the nearest checkpoint at or before the first injection
-    // cycle — state up to that cycle is bit-identical to the golden run's,
-    // so the head of the run need not be re-simulated.
-    let mut ckpt_skipped_cycles = 0;
-    if let Some(store) = store {
-        if let Some(idx) = store.nearest_at_or_before(run.first_cycle) {
-            gpu.resume_from(store, idx);
-            ckpt_skipped_cycles = store.snapshot_cycle(idx);
+/// One supervised run's outcome (see [`Executor::supervised`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Supervised {
+    pub(crate) rec: RunRecord,
+    pub(crate) verdict: OracleVerdict,
+    /// Panicking attempts caught: `0`, `1` (the retry succeeded) or `2`
+    /// (the run is recorded as the poison verdict).
+    pub(crate) panics: usize,
+}
+
+/// Everything an injection run needs besides its plan and its device,
+/// shared by every worker of one campaign — the local scheduler's threads
+/// and a service worker's lease loop alike.
+///
+/// Each worker owns one device slot (`Option<Gpu>`) for its whole life
+/// and passes it to every run: a run forks by restoring a snapshot into
+/// the slot's [`Gpu`] in place, so no per-run allocation scales with chip
+/// capacity.  A fresh `Gpu::new` is built when the slot is first used, for
+/// a cold start (no snapshot at or before the first fault cycle, or
+/// checkpoints off) and after a caught panic, whose unwinding may have
+/// left the device half-updated.  The slot is emptied before its
+/// replacement is built, so a worker never holds two devices at once.
+pub(crate) struct Executor<'a> {
+    pub(crate) workload: &'a dyn Workload,
+    pub(crate) card: &'a GpuConfig,
+    pub(crate) cfg: &'a CampaignConfig,
+    pub(crate) golden: &'a GoldenProfile,
+    pub(crate) plans: &'a [RunPlan],
+    pub(crate) store: Option<&'a Arc<CheckpointStore>>,
+    pub(crate) oracle_img: Option<&'a [u8]>,
+    pub(crate) hook: Option<&'a FaultHook>,
+}
+
+impl Executor<'_> {
+    /// A fresh device for this campaign's chip.
+    fn fresh_gpu(&self) -> Gpu {
+        Gpu::new(self.card.clone())
+    }
+
+    /// Executes run `i` on the worker's `device` under the supervisor: a
+    /// panicking attempt is caught, the device discarded and the run
+    /// retried once on a fresh one; a panic that reproduces becomes the
+    /// deterministic poison verdict — Crash, `sim_panic` — so a resumed or
+    /// distributed campaign records it bit for bit.
+    pub(crate) fn supervised(&self, device: &mut Option<Gpu>, i: usize) -> Supervised {
+        let mut panics = 0;
+        for attempt in 0..2 {
+            let out = catch_run(|| {
+                if let Some(h) = self.hook {
+                    h(i, attempt);
+                }
+                self.one_run(device, &self.plans[i])
+            });
+            match out {
+                Ok((rec, verdict)) => {
+                    return Supervised {
+                        rec,
+                        verdict,
+                        panics,
+                    }
+                }
+                Err(_msg) => {
+                    panics += 1;
+                    *device = None;
+                }
+            }
+        }
+        let rec = RunRecord {
+            effect: FaultEffect::Crash,
+            cycles: 0,
+            applied: true,
+            early_exit: false,
+            ckpt_skipped_cycles: 0,
+            detail: RunDetail::SimPanic,
+            stratum: self.plans[i].stratum,
+        };
+        Supervised {
+            rec,
+            verdict: OracleVerdict::default(),
+            panics,
         }
     }
-    gpu.arm_faults(run.plan.clone());
-    gpu.set_watchdog(golden.total_cycles() * 2);
-    if cfg.max_run_ms > 0 {
-        gpu.set_wall_watchdog(Duration::from_millis(cfg.max_run_ms));
-    }
-    // Oracle check replaces the early-exit abort with a probe: the exit
-    // predicate is still evaluated, but the run completes so its final
-    // state can be compared against the oracle's prediction.
-    gpu.set_early_exit(cfg.early_exit && oracle_img.is_none());
-    gpu.set_early_exit_probe(oracle_img.is_some());
-    let result = workload.run(&mut gpu);
-    let applied = gpu.injection_records().iter().any(|r| r.applied);
-    if matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired))) {
+
+    /// Executes one pre-drawn injection run on the worker's `device` and
+    /// classifies it.
+    fn one_run(&self, device: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, OracleVerdict) {
+        // Fork from the nearest checkpoint at or before the first injection
+        // cycle — state up to that cycle is bit-identical to the golden
+        // run's, so the head of the run need not be re-simulated.
+        let fork = self
+            .store
+            .and_then(|s| Some((s, s.nearest_at_or_before(run.first_cycle)?)));
+        let (gpu, ckpt_skipped_cycles) = match fork {
+            Some((store, idx)) => {
+                let gpu = device.get_or_insert_with(|| self.fresh_gpu());
+                gpu.resume_from(store, idx);
+                (gpu, store.snapshot_cycle(idx))
+            }
+            None => {
+                // Free the used device before allocating its replacement.
+                *device = None;
+                (device.insert(self.fresh_gpu()), 0)
+            }
+        };
+        let golden_cycles = self.golden.total_cycles();
+        gpu.arm_faults(run.plan.clone());
+        gpu.set_watchdog(golden_cycles * 2);
+        if self.cfg.max_run_ms > 0 {
+            gpu.set_wall_watchdog(Duration::from_millis(self.cfg.max_run_ms));
+        }
+        // Oracle check replaces the early-exit abort with a probe: the exit
+        // predicate is still evaluated, but the run completes so its final
+        // state can be compared against the oracle's prediction.
+        gpu.set_early_exit(self.cfg.early_exit && self.oracle_img.is_none());
+        gpu.set_early_exit_probe(self.oracle_img.is_some());
+        let result = self.workload.run(gpu);
+        let applied = gpu.injection_records().iter().any(|r| r.applied);
+        let record = |effect, cycles, early_exit, detail| RunRecord {
+            effect,
+            cycles,
+            applied,
+            early_exit,
+            ckpt_skipped_cycles,
+            detail,
+            stratum: run.stratum,
+        };
         // Every fault's lifetime ended with the machine state equal to the
         // golden run's, so the remaining execution is the golden execution:
         // Masked, at the golden cycle count.
-        let rec = RunRecord {
-            effect: FaultEffect::Masked,
-            cycles: golden.total_cycles(),
-            applied,
-            early_exit: true,
-            ckpt_skipped_cycles,
-            detail: RunDetail::None,
-            stratum: run.stratum,
+        let masked_early = record(FaultEffect::Masked, golden_cycles, true, RunDetail::None);
+        if matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired))) {
+            return (masked_early, OracleVerdict::default());
+        }
+        let cycles = gpu.stats().total_cycles().max(gpu.cycle());
+        let effect = classify(&result, cycles, self.golden);
+        let full = record(effect, cycles, false, detail_of(&result));
+        let Some(img) = self.oracle_img else {
+            return (full, OracleVerdict::default());
         };
-        return (rec, OracleVerdict::default());
-    }
-    let cycles = gpu.stats().total_cycles().max(gpu.cycle());
-    let effect = classify(&result, cycles, golden);
-    let detail = detail_of(&result);
-    if let Some(img) = oracle_img {
         let mut verdict = OracleVerdict {
             checked: true,
             ..OracleVerdict::default()
@@ -885,47 +972,19 @@ pub(crate) fn one_run(
             // Early exit would have recorded Masked at the golden cycle
             // count; the fully simulated run must agree *and* its memory
             // must match the reference interpreter bit for bit.
-            let confirmed = effect == FaultEffect::Masked
-                && cycles == golden.total_cycles()
-                && gpu.mem().global_image() == img;
-            if confirmed {
+            if effect == FaultEffect::Masked
+                && cycles == golden_cycles
+                && gpu.mem().global_image() == img
+            {
                 verdict.verified = true;
                 // Record exactly what the optimized engine records, so the
                 // two campaigns' CSVs are directly diffable.
-                let rec = RunRecord {
-                    effect: FaultEffect::Masked,
-                    cycles: golden.total_cycles(),
-                    applied,
-                    early_exit: true,
-                    ckpt_skipped_cycles,
-                    detail: RunDetail::None,
-                    stratum: run.stratum,
-                };
-                return (rec, verdict);
+                return (masked_early, verdict);
             }
             verdict.mismatch = true;
         }
-        let rec = RunRecord {
-            effect,
-            cycles,
-            applied,
-            early_exit: false,
-            ckpt_skipped_cycles,
-            detail,
-            stratum: run.stratum,
-        };
-        return (rec, verdict);
+        (full, verdict)
     }
-    let rec = RunRecord {
-        effect,
-        cycles,
-        applied,
-        early_exit: false,
-        ckpt_skipped_cycles,
-        detail,
-        stratum: run.stratum,
-    };
-    (rec, OracleVerdict::default())
 }
 
 /// Picks one window with probability proportional to its length.
@@ -956,10 +1015,10 @@ fn pick_weighted<'a>(
 
 /// A test-only fault hook the supervisor invokes at the start of every
 /// supervised run attempt, with the run index and the attempt number
-/// (`0` = first attempt, `1` = the quarantine retry).  A hook that panics
-/// emulates a fault corrupting simulator invariants; panic-isolation tests
-/// and the CLI's `--inject-panic-run` use it to prove the campaign
-/// survives poison runs.
+/// (`0` = first attempt, `1` = the retry after a caught panic).  A hook
+/// that panics emulates a fault corrupting simulator invariants;
+/// panic-isolation tests and the CLI's `--inject-panic-run` use it to
+/// prove the campaign survives poison runs.
 pub type FaultHook = dyn Fn(usize, u32) + Sync + std::panic::RefUnwindSafe;
 
 /// Runs a full campaign: `cfg.runs` independent injection runs of
@@ -974,17 +1033,20 @@ pub type FaultHook = dyn Fn(usize, u32) + Sync + std::panic::RefUnwindSafe;
 /// Runs execute on `cfg.threads` worker threads pulling from a shared
 /// counter (work stealing) over the runs *sorted by first injection cycle*,
 /// so neighbouring runs fork from the same snapshot while it is hot in
-/// cache.  The result is identical regardless of thread count and execution
-/// order because every run derives its own RNG from the campaign seed and
-/// the run index, and records are placed by original run index.
+/// cache.  Each worker keeps one [`Gpu`] and forks every run into it by
+/// restoring the snapshot in place.  The result is identical regardless
+/// of thread count and execution order because every run derives its own
+/// RNG from the campaign seed and the run index, and records are placed by
+/// original run index.
 ///
 /// The campaign is **supervised**: each run executes under
 /// `std::panic::catch_unwind`, so a simulator-internal panic is captured
-/// per run, quarantined, retried once, and — if it reproduces — recorded
-/// as **Crash** with [`RunDetail::SimPanic`] while every sibling run
-/// completes normally.  With [`CampaignConfig::journal`] set, each
-/// completed run is also appended (fsync'd) to a crash-safe journal that
-/// [`CampaignConfig::resume`] can restart from after process death.
+/// per run, the device rebuilt, the run retried once, and — if it
+/// reproduces — recorded as **Crash** with [`RunDetail::SimPanic`] while
+/// every sibling run completes normally.  With [`CampaignConfig::journal`]
+/// set, each completed run is also appended (fsync'd) to a crash-safe
+/// journal that [`CampaignConfig::resume`] can restart from after process
+/// death.
 ///
 /// # Errors
 ///
@@ -1181,10 +1243,10 @@ pub fn run_campaign_with_hook(
             }
         }
     };
-    // All journal writes — static prune, the parallel workers, quarantine
-    // retries — go through one single-writer append channel, so concurrent
-    // completions can never interleave partial lines.  Append errors
-    // surface when the writer is joined after the execution loops.
+    // All journal writes — static prune and the parallel workers — go
+    // through one single-writer append channel, so concurrent completions
+    // can never interleave partial lines.  Append errors surface when the
+    // writer is joined after the execution loops.
     let (journal_writer, journal_sink) = match journal {
         Some(j) => {
             let (w, s) = j.into_writer();
@@ -1245,51 +1307,36 @@ pub fn run_campaign_with_hook(
     let mut order = pending;
     order.sort_by_key(|&i| plans[i].first_cycle);
 
-    let panics = AtomicUsize::new(0);
-    // Runs whose first attempt panicked, awaiting their single retry.
-    let quarantine: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    // One supervised attempt of run `i`: any panic inside the simulator
-    // is caught and returned as a message instead of unwinding.
-    let attempt = |i: usize, n: u32| -> Result<(RunRecord, OracleVerdict), String> {
-        catch_run(|| {
-            if let Some(h) = hook {
-                h(i, n);
-            }
-            one_run(
-                workload,
-                card,
-                cfg,
-                golden,
-                &plans[i],
-                store.as_ref(),
-                img_ref,
-            )
-        })
+    let exec = Executor {
+        workload,
+        card,
+        cfg,
+        golden,
+        plans: &plans,
+        store: store.as_ref(),
+        oracle_img: img_ref,
+        hook,
     };
-    // First attempt of run `i`, executed by the workers: journal a
-    // completed run immediately (crash safety), quarantine a panicking one.
-    let run_one = |i: usize| -> Option<(usize, (RunRecord, OracleVerdict))> {
-        match attempt(i, 0) {
-            Ok(out) => {
-                if let Some(s) = &journal_sink {
-                    s.append(i, &out.0);
-                }
-                Some((i, out))
-            }
-            Err(_msg) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                quarantine.lock().expect("quarantine lock poisoned").push(i);
-                None
-            }
+    let panics = AtomicUsize::new(0);
+    let retries = AtomicUsize::new(0);
+    // One supervised run on the worker's device; a completed run is
+    // journaled immediately (crash safety).
+    let run_one = |device: &mut Option<Gpu>, i: usize| -> (RunRecord, OracleVerdict) {
+        let out = exec.supervised(device, i);
+        if out.panics > 0 {
+            panics.fetch_add(out.panics, Ordering::Relaxed);
+            retries.fetch_add(1, Ordering::Relaxed);
         }
+        if let Some(s) = &journal_sink {
+            s.append(i, &out.rec);
+        }
+        (out.rec, out.verdict)
     };
 
     if threads <= 1 {
+        let mut device = None;
         for &i in &order {
-            if let Some((i, out)) = run_one(i) {
-                slots[i] = Some(out);
-            }
+            slots[i] = Some(run_one(&mut device, i));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -1297,13 +1344,12 @@ pub fn run_campaign_with_hook(
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
+                        let mut device = None;
                         let mut local = Vec::new();
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
                             let Some(&i) = order.get(k) else { break };
-                            if let Some(out) = run_one(i) {
-                                local.push(out);
-                            }
+                            local.push((i, run_one(&mut device, i)));
                         }
                         local
                     })
@@ -1322,38 +1368,6 @@ pub fn run_campaign_with_hook(
         }
     }
 
-    // Quarantine retry: each panicked run is re-executed exactly once, in
-    // run order, to tell deterministic poison runs from incidental
-    // failures.  A reproduced panic becomes the poison verdict — Crash,
-    // `sim_panic` — with deterministic placeholder fields, so a resumed
-    // campaign reproduces it bit for bit.
-    let mut retried: Vec<usize> = quarantine.into_inner().expect("quarantine lock poisoned");
-    retried.sort_unstable();
-    let retries = retried.len();
-    for &i in &retried {
-        let out = match attempt(i, 1) {
-            Ok(out) => out,
-            Err(_msg) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                (
-                    RunRecord {
-                        effect: FaultEffect::Crash,
-                        cycles: 0,
-                        applied: true,
-                        early_exit: false,
-                        ckpt_skipped_cycles: 0,
-                        detail: RunDetail::SimPanic,
-                        stratum: plans[i].stratum,
-                    },
-                    OracleVerdict::default(),
-                )
-            }
-        };
-        if let Some(s) = &journal_sink {
-            s.append(i, &out.0);
-        }
-        slots[i] = Some(out);
-    }
     // Closing the only sender ends the writer thread; joining it surfaces
     // the first append error, after the in-memory results are complete.
     drop(journal_sink);
@@ -1397,7 +1411,7 @@ pub fn run_campaign_with_hook(
     stats.oracle_verified = verdicts.iter().filter(|v| v.verified).count();
     stats.oracle_mismatches = verdicts.iter().filter(|v| v.mismatch).count();
     stats.panics = panics.into_inner();
-    stats.retries = retries;
+    stats.retries = retries.into_inner();
     stats.resumed = resumed;
     stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
     stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);

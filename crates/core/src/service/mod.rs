@@ -12,9 +12,9 @@
 //!   deliberately excludes threads/journal/resume, the knobs that differ
 //!   between coordinator and worker.
 //! - Workers execute leased run indices with the **same supervised
-//!   `one_run`** the local scheduler uses (same early-exit, checkpoint,
-//!   stratified and quarantine-retry semantics) and stream back the exact
-//!   journal record line.
+//!   executor** the local scheduler uses (same early-exit, checkpoint,
+//!   stratified and retry-once semantics, one reused `Gpu` per worker) and
+//!   stream back the exact journal record line.
 //! - The coordinator owns the **one canonical journal/CSV/tally**: it
 //!   merges first-ack-wins by run index, journals through the single-writer
 //!   append channel, and finalizes the journal in canonical run order —

@@ -1,21 +1,18 @@
 //! The `worker` side: a thin TCP wrapper around the existing supervised
 //! run machinery.  A worker draws the **same plans** the coordinator did
 //! (proved by the fingerprint handshake), executes exactly the run
-//! indices it is leased with the same `one_run`/retry-once semantics the
-//! local scheduler uses, and streams back the exact journal record line —
+//! indices it is leased with the same supervised `Executor` the local
+//! scheduler uses, and streams back the exact journal record line —
 //! so the record a worker produces is byte-for-byte the record a
 //! `--threads 1` run would have journaled.
 
 use super::coordinator::draw;
 use super::proto::{encode_frame, read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
-use crate::campaign::{full_fingerprint, one_run, record_store, CampaignConfig, RunRecord};
-use crate::classify::RunDetail;
+use crate::campaign::{full_fingerprint, record_store, CampaignConfig, Executor};
 use crate::profile::GoldenProfile;
-use crate::supervisor::catch_run;
 use crate::workload::Workload;
-use gpufi_metrics::FaultEffect;
-use gpufi_sim::{CheckpointStore, GpuConfig};
+use gpufi_sim::{CheckpointStore, Gpu, GpuConfig};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -161,6 +158,9 @@ pub fn run_worker_with_chaos(
     // The checkpoint store re-records the golden run once, lazily on the
     // first lease: a worker that is only ever told `fin` pays nothing.
     let mut store: Option<Arc<CheckpointStore>> = None;
+    // The worker's one device slot: every leased run forks into it in
+    // place (see `Executor`), built on first use.
+    let mut gpu: Option<Gpu> = None;
     let mut report = WorkerReport::default();
     let mut acks = 0usize;
 
@@ -174,6 +174,20 @@ pub fn run_worker_with_chaos(
                     if store.is_none() && cfg.checkpoints && !runs.is_empty() {
                         store = record_store(workload, card, cfg, golden);
                     }
+                    // Supervised execution with the local scheduler's
+                    // retry-once semantics: a run that panics twice becomes
+                    // the same deterministic poison verdict a serial
+                    // campaign records.
+                    let exec = Executor {
+                        workload,
+                        card,
+                        cfg,
+                        golden,
+                        plans: &plans,
+                        store: store.as_ref(),
+                        oracle_img: None,
+                        hook: None,
+                    };
                     for &i in &runs {
                         if i >= plans.len() {
                             return Err(ServiceError::Protocol(format!(
@@ -186,38 +200,7 @@ pub fn run_worker_with_chaos(
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        // Supervised execution with the local scheduler's
-                        // retry-once semantics: a run that panics twice
-                        // becomes the same deterministic poison verdict a
-                        // serial campaign records.
-                        let attempt = || {
-                            catch_run(|| {
-                                one_run(
-                                    workload,
-                                    card,
-                                    cfg,
-                                    golden,
-                                    &plans[i],
-                                    store.as_ref(),
-                                    None,
-                                )
-                            })
-                        };
-                        let rec: RunRecord = match attempt() {
-                            Ok((rec, _)) => rec,
-                            Err(_) => match attempt() {
-                                Ok((rec, _)) => rec,
-                                Err(_) => RunRecord {
-                                    effect: FaultEffect::Crash,
-                                    cycles: 0,
-                                    applied: true,
-                                    early_exit: false,
-                                    ckpt_skipped_cycles: 0,
-                                    detail: RunDetail::SimPanic,
-                                    stratum: plans[i].stratum,
-                                },
-                            },
-                        };
+                        let rec = exec.supervised(&mut gpu, i).rec;
                         let payload = Msg::Done {
                             lease: id,
                             run: i,

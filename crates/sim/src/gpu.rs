@@ -536,15 +536,17 @@ impl Gpu {
         }
     }
 
-    /// Restores machine state from a snapshot.  The injection-run fields —
-    /// armed faults, watchdog, early-exit mode, injection records — are
-    /// deliberately untouched: they belong to the run doing the
-    /// restoring, not to the recorded execution.
+    /// Restores machine state from a snapshot, copying into this device's
+    /// existing buffers (`clone_from`) rather than allocating new ones, so
+    /// restoring into a used `Gpu` costs a copy, not a 16 MB allocation.
+    /// The injection-run fields — armed faults, watchdog, early-exit mode,
+    /// injection records — are deliberately untouched: they belong to the
+    /// run doing the restoring, not to the recorded execution.
     pub fn restore(&mut self, snap: &Snapshot) {
-        self.mem = snap.mem.clone();
-        self.cores = snap.cores.clone();
+        self.mem.clone_from(&snap.mem);
+        self.cores.clone_from(&snap.cores);
         self.cycle = snap.cycle;
-        self.stats = snap.stats.clone();
+        self.stats.clone_from(&snap.stats);
     }
 
     /// Starts checkpoint recording: every host API call is journaled, and
@@ -580,6 +582,14 @@ impl Gpu {
     /// and resumes the in-flight launch's cycle loop at the snapshot
     /// cycle.
     ///
+    /// Every run-owned field — armed faults, injection records, both
+    /// watchdogs, early-exit and probe flags, any checkpoint recorder,
+    /// oracle or register trace, and a stale replay — goes back to its
+    /// [`Gpu::new`] value, so forking into a device that already ran is
+    /// indistinguishable from forking into a fresh one.  A campaign worker
+    /// therefore keeps one `Gpu` and forks every run into it.  Arm the
+    /// run's faults and watchdogs *after* this call.
+    ///
     /// Sound only when every armed fault fires at or after the snapshot
     /// cycle — the campaign picks
     /// [`CheckpointStore::nearest_at_or_before`] the first injection
@@ -591,7 +601,43 @@ impl Gpu {
     pub fn resume_from(&mut self, store: &Arc<CheckpointStore>, idx: usize) {
         let snap = &store.snapshots[idx];
         self.restore(snap);
-        self.replay = Some(Replay {
+        // Exhaustive on purpose: a new field must be classified here as
+        // machine state (restored above) or run state (reset below).
+        let Gpu {
+            cfg: _,
+            mem: _,
+            cores: _,
+            cycle: _,
+            stats: _,
+            watchdog,
+            wall_deadline,
+            faults,
+            fault_model,
+            next_fault,
+            records,
+            early_exit,
+            recorder,
+            replay,
+            oracle,
+            ee_probe,
+            ee_would_exit,
+            trace_reg_reads,
+            reg_traces,
+        } = self;
+        *watchdog = None;
+        *wall_deadline = None;
+        faults.clear();
+        *fault_model = FaultModel::Transient;
+        *next_fault = 0;
+        records.clear();
+        *early_exit = false;
+        *recorder = None;
+        *oracle = None;
+        *ee_probe = false;
+        *ee_would_exit = false;
+        *trace_reg_reads = false;
+        reg_traces.clear();
+        *replay = Some(Replay {
             store: Arc::clone(store),
             cursor: Cell::new(0),
             resume_at: snap.host_ops_done,

@@ -141,7 +141,11 @@ pub enum FlipOutcome {
 }
 
 /// A set-associative, write-back-capable cache with LRU replacement.
-#[derive(Debug, Clone)]
+///
+/// `Clone` is hand-written so `clone_from` — the checkpoint restore path —
+/// copies into the existing line and data arrays instead of allocating
+/// new ones (see `crate::snapshot`).
+#[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
@@ -161,6 +165,54 @@ pub struct Cache {
     // hit/miss timing immediately).  A latch because the host-coherence
     // read path is `&self`.
     escaped: EscapeLatch,
+}
+
+// Both methods destructure exhaustively (no `..`), so a field added to
+// `Cache` fails to compile here until the snapshot captures it.
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        let Cache {
+            cfg,
+            lines,
+            data,
+            tick,
+            stats,
+            taints,
+            valid_cnt,
+            escaped,
+        } = self;
+        Cache {
+            cfg: *cfg,
+            lines: lines.clone(),
+            data: data.clone(),
+            tick: *tick,
+            stats: *stats,
+            taints: *taints,
+            valid_cnt: *valid_cnt,
+            escaped: escaped.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Cache {
+            cfg,
+            lines,
+            data,
+            tick,
+            stats,
+            taints,
+            valid_cnt,
+            escaped,
+        } = self;
+        *cfg = src.cfg;
+        lines.clone_from(&src.lines);
+        data.clone_from(&src.data);
+        *tick = src.tick;
+        *stats = src.stats;
+        *taints = src.taints;
+        *valid_cnt = src.valid_cnt;
+        escaped.clone_from(&src.escaped);
+    }
 }
 
 impl Cache {

@@ -48,9 +48,10 @@ pub enum AccessKind {
 /// The chip-level memory system: backing segments, banked L2, per-SM L1s,
 /// and the timing queues.
 ///
-/// `Clone` is the checkpoint mechanism: every field is cloned wholesale so
-/// a snapshot can never silently omit state (see `crate::snapshot`).
-#[derive(Debug, Clone)]
+/// `Clone` is the checkpoint mechanism (see `crate::snapshot`): `clone`
+/// captures every field, and `clone_from` restores into the existing
+/// segment and cache buffers without reallocating them.
+#[derive(Debug)]
 pub struct MemSystem {
     line_bytes: u32,
     lat: LatencyConfig,
@@ -70,6 +71,80 @@ pub struct MemSystem {
     // Latched when tainted local-backing bytes are read (fills are `&self`
     // on some paths, hence the latch).
     escaped: EscapeLatch,
+}
+
+// Both methods destructure exhaustively (no `..`), so a field added to
+// `MemSystem` fails to compile here until the snapshot captures it.
+impl Clone for MemSystem {
+    fn clone(&self) -> Self {
+        let MemSystem {
+            line_bytes,
+            lat,
+            num_banks,
+            global,
+            local,
+            constant,
+            l1d,
+            l1t,
+            l1c,
+            l2,
+            bank_busy,
+            dram_busy,
+            local_taints,
+            escaped,
+        } = self;
+        MemSystem {
+            line_bytes: *line_bytes,
+            lat: *lat,
+            num_banks: *num_banks,
+            global: global.clone(),
+            local: local.clone(),
+            constant: constant.clone(),
+            l1d: l1d.clone(),
+            l1t: l1t.clone(),
+            l1c: l1c.clone(),
+            l2: l2.clone(),
+            bank_busy: bank_busy.clone(),
+            dram_busy: dram_busy.clone(),
+            local_taints: local_taints.clone(),
+            escaped: escaped.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let MemSystem {
+            line_bytes,
+            lat,
+            num_banks,
+            global,
+            local,
+            constant,
+            l1d,
+            l1t,
+            l1c,
+            l2,
+            bank_busy,
+            dram_busy,
+            local_taints,
+            escaped,
+        } = self;
+        *line_bytes = src.line_bytes;
+        *lat = src.lat;
+        *num_banks = src.num_banks;
+        global.clone_from(&src.global);
+        local.clone_from(&src.local);
+        constant.clone_from(&src.constant);
+        // Element-wise: `Vec` and `Option` forward `clone_from` to each
+        // `Cache`, which copies into its existing arrays.
+        l1d.clone_from(&src.l1d);
+        l1t.clone_from(&src.l1t);
+        l1c.clone_from(&src.l1c);
+        l2.clone_from(&src.l2);
+        bank_busy.clone_from(&src.bank_busy);
+        dram_busy.clone_from(&src.dram_busy);
+        local_taints.clone_from(&src.local_taints);
+        escaped.clone_from(&src.escaped);
+    }
 }
 
 /// Capacity of the constant bank (CUDA's `__constant__` space is 64 KB).

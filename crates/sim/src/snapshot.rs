@@ -10,10 +10,17 @@
 //! the golden execution, then forks each injection run from the nearest
 //! snapshot at or before its first injection cycle.
 //!
-//! The state capture is a derive-`Clone` cascade through `core/` and
-//! `mem/`: a snapshot clones [`MemSystem`] and every [`SimtCore`]
-//! wholesale, so a newly added field is captured automatically instead of
-//! being silently omitted.
+//! The state capture clones [`MemSystem`] and every [`SimtCore`]
+//! wholesale.  Restoring is the other half of the same `Clone` impls:
+//! [`crate::Gpu::restore`] calls `clone_from`, which for `MemSystem` and
+//! its caches — nearly all of a snapshot's bytes — copies into the
+//! device's existing segment, line and data buffers instead of allocating
+//! new ones, so a campaign worker forks every run into one reused `Gpu`.
+//! Those hand-written impls destructure the struct exhaustively (no `..`)
+//! in both `clone` and `clone_from`: a newly added field fails to compile
+//! until it is captured and restored, so a snapshot can never silently
+//! omit state.  The `core/` types keep derived `Clone`, which captures
+//! every field by construction.
 //!
 //! # Resuming through host code
 //!

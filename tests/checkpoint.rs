@@ -3,7 +3,7 @@
 //! concludes, only how long it takes.
 
 use gpufi::prelude::*;
-use gpufi::sim::Gpu;
+use gpufi::sim::{CacheConfig, Gpu, GLOBAL_BASE, TAG_BITS};
 
 /// Checkpoint forking and cold starts must classify every run identically —
 /// same effect, same cycle count, same applied flag — with taint early exit
@@ -187,4 +187,184 @@ fn explicit_snapshot_restore_roundtrip() {
     assert_eq!(out_restored, out_twice);
     assert_eq!(restored.stats(), twice.stats());
     assert_eq!(restored.cycle(), twice.cycle());
+}
+
+/// Fault plans that leave a device dirty in different ways: a transient
+/// register-file flip; transient flips of one data bit in every line of
+/// every core's L1D and of the L2 (valid lines are hit and tainted; the L1s
+/// are flushed at the end of the launch, but the L2 keeps its tainted lines
+/// and latches escapes); and a stuck-at-1 register-file site (armed stuck
+/// state on the cores).
+fn dirtying_plans(card: &GpuConfig, cycle: u64) -> [(&'static str, InjectionPlan); 3] {
+    let rf = |model| InjectionPlan {
+        model,
+        faults: vec![gpufi_sim::PlannedFault {
+            cycle,
+            target: FaultTarget::RegisterFile {
+                scope: Scope::Warp,
+                entry_lot: 3,
+                reg: 1,
+                bits: vec![30],
+            },
+        }],
+    };
+    let every_line = |cache: CacheConfig| -> Vec<u64> {
+        (0..cache.num_lines())
+            .map(|line| u64::from(line) * cache.bits_per_line() + u64::from(TAG_BITS) + 5)
+            .collect()
+    };
+    let caches = InjectionPlan {
+        model: FaultModel::Transient,
+        faults: vec![
+            gpufi_sim::PlannedFault {
+                cycle,
+                target: FaultTarget::L1Data {
+                    core_lot: 0,
+                    replicate: card.num_sms,
+                    bits: every_line(card.l1d.expect("the card has an L1 data cache")),
+                },
+            },
+            gpufi_sim::PlannedFault {
+                cycle,
+                target: FaultTarget::L2 {
+                    bits: every_line(card.l2),
+                },
+            },
+        ],
+    };
+    [
+        ("rf", rf(FaultModel::Transient)),
+        ("l1d+l2", caches),
+        ("rf stuck-at-1", rf(FaultModel::StuckAt1)),
+    ]
+}
+
+/// A campaign worker forks every run into one reused `Gpu`.  A device
+/// that has just finished a faulty run — cut short by the watchdog right
+/// after the fault (so it holds in-flight CTAs, dirty and tainted cache
+/// lines and latched escape state, and then a pending fault), or run to
+/// the end under the early-exit probe with a latched verdict — whose
+/// global segment and constant bank the host then grew and overwrote, and
+/// which still carries watchdogs (the wall deadline already expired) and
+/// early-exit flags, must fork from every snapshot exactly like a fresh
+/// `Gpu::new`: same state digest right after the fork, then the same
+/// output, statistics, cycle count, injection records, probe verdict and
+/// final digest — for a faulty continuation from snapshots before the
+/// fault cycle and a golden one from snapshots after it.
+#[test]
+fn reused_fork_matches_fresh_fork() {
+    let card = GpuConfig::rtx2060();
+    let workloads: [Box<dyn Workload>; 2] =
+        [Box::new(Gaussian::new()), Box::new(NeedlemanWunsch::new())];
+    for w in &workloads {
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let total = golden.total_cycles();
+        let fault_cycle = total / 2;
+        let mut rec = Gpu::new(card.clone());
+        rec.record_checkpoints((total / 6).max(1), 1 << 30);
+        w.run(&mut rec).unwrap();
+        let store = std::sync::Arc::new(rec.finish_checkpoint_recording());
+        assert!(
+            store.snapshot_cycle(0) <= fault_cycle
+                && store.snapshot_cycle(store.len() - 1) > fault_cycle,
+            "{}: need snapshots on both sides of the fault",
+            w.name()
+        );
+        // One flip in the last L2 line, which these small footprints
+        // never fill: the fault applies to nothing.
+        let nowhere = InjectionPlan {
+            model: FaultModel::Transient,
+            faults: vec![gpufi_sim::PlannedFault {
+                cycle: fault_cycle,
+                target: FaultTarget::L2 {
+                    bits: vec![
+                        u64::from(card.l2.num_lines() - 1) * card.l2.bits_per_line()
+                            + u64::from(TAG_BITS),
+                    ],
+                },
+            }],
+        };
+        for (kind, plan) in dirtying_plans(&card, fault_cycle) {
+            let mut used = Gpu::new(card.clone());
+            for idx in 0..store.len() {
+                // The faulty run, forked from the first snapshot as a
+                // campaign run would be.
+                let cut = idx % 2 == 0;
+                used.resume_from(&store, 0);
+                if cut {
+                    // Cut short by the watchdog right after the fault.
+                    used.arm_faults(plan.clone());
+                    used.set_watchdog(fault_cycle + 64);
+                    assert!(w.run(&mut used).is_err(), "{} {kind}", w.name());
+                    assert!(
+                        used.injection_records().iter().any(|r| r.applied),
+                        "{} {kind}: the dirtying fault did not apply",
+                        w.name()
+                    );
+                    // A pending fault the fork must not inherit.
+                    used.arm_faults(plan.clone());
+                } else {
+                    // Run to the end under the early-exit probe with a
+                    // fault that lands nowhere: it expires at once and the
+                    // probe latches a verdict the fork must not inherit.
+                    used.arm_faults(nowhere.clone());
+                    used.set_early_exit_probe(true);
+                    assert_eq!(w.run(&mut used).as_ref(), Ok(&golden.output));
+                    assert!(used.would_early_exit(), "{}: no probe verdict", w.name());
+                }
+                // Host-side leftovers: a grown global segment, overwritten
+                // device data and constant bank.
+                let ptr = used.malloc(4096).unwrap();
+                used.memcpy_h2d(ptr, &[0xa5; 4096]).unwrap();
+                used.memcpy_h2d(GLOBAL_BASE, &[0x5a; 256]).unwrap();
+                used.write_const(0, &[0x33; 64]).unwrap();
+                // Run state a fork must not inherit: a cycle watchdog that
+                // fires at once, an expired wall deadline and both
+                // early-exit modes.
+                used.set_watchdog(1);
+                used.set_wall_watchdog(std::time::Duration::ZERO);
+                used.set_early_exit(true);
+                used.set_early_exit_probe(true);
+
+                let mut fresh = Gpu::new(card.clone());
+                let tag = format!(
+                    "{} after {kind} run, snapshot {idx} (cycle {})",
+                    w.name(),
+                    store.snapshot_cycle(idx)
+                );
+                for gpu in [&mut used, &mut fresh] {
+                    gpu.resume_from(&store, idx);
+                    if store.snapshot_cycle(idx) <= fault_cycle {
+                        gpu.arm_faults(if cut { plan.clone() } else { nowhere.clone() });
+                        gpu.set_watchdog(total * 2);
+                    }
+                }
+                assert_eq!(
+                    used.snapshot().state_digest(),
+                    fresh.snapshot().state_digest(),
+                    "{tag}: state digest after the fork"
+                );
+                let out_used = w.run(&mut used);
+                let out_fresh = w.run(&mut fresh);
+                assert_eq!(out_used, out_fresh, "{tag}: output");
+                assert_eq!(used.stats(), fresh.stats(), "{tag}: statistics");
+                assert_eq!(used.cycle(), fresh.cycle(), "{tag}: cycle");
+                assert_eq!(
+                    used.injection_records(),
+                    fresh.injection_records(),
+                    "{tag}: injection records"
+                );
+                assert_eq!(
+                    used.would_early_exit(),
+                    fresh.would_early_exit(),
+                    "{tag}: early-exit probe"
+                );
+                assert_eq!(
+                    used.snapshot().state_digest(),
+                    fresh.snapshot().state_digest(),
+                    "{tag}: final state digest"
+                );
+            }
+        }
+    }
 }
