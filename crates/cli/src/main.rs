@@ -100,8 +100,8 @@ one benchmark or the whole paper suite: uninitialized-register reads,
 divergent barriers, shared-memory races between barrier intervals,
 unreachable code, write-never-read registers and malformed SSY
 reconvergence points; --json emits machine-readable findings;
-register-file campaigns consult the same liveness analysis to pre-classify
-runs whose faults land only in statically dead (never-read) registers as
+register-file campaigns consult a bit-level liveness analysis to pre-classify
+runs whose faults land only in statically dead (never-demanded) registers as
 Masked without simulating them (detail=static_dead); a bit-granular
 refinement additionally prunes transient runs whose flipped bits all land
 in statically dead *bits* of otherwise-live registers
@@ -145,22 +145,60 @@ the missing runs; `worker` connects to a coordinator (retrying until
 its own flags and executes leased runs with the exact local-scheduler
 semantics; both sides reject --oracle-check (single-process validation)";
 
-/// Minimal `--flag value` parser over the argument list.
+/// A command's argument list, classified against the flags the command
+/// accepts: each `--flag value` pair and each boolean `--flag` is read
+/// from its own position only.
 struct Args<'a> {
-    argv: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    flags: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
+    /// Classifies `argv`, rejecting any argument that is not a known
+    /// `--flag value` pair or a known boolean `--flag` — a typo like
+    /// `--run 50` must fail loudly instead of silently running 120 default
+    /// runs.  A known flag where a value is expected (`--csv --no-journal`
+    /// would otherwise write a file named `--no-journal`) and a repeated
+    /// flag (`--runs 4 --runs 8`) are rejected too.
+    fn classify(
+        argv: &'a [String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Self, String> {
+        let mut args = Args {
+            values: Vec::new(),
+            flags: Vec::new(),
+        };
+        let known = |a: &str| value_flags.contains(&a) || bool_flags.contains(&a);
+        let mut rest = argv.iter().map(String::as_str);
+        while let Some(a) = rest.next() {
+            if !known(a) {
+                return Err(format!("unknown flag `{a}`"));
+            }
+            if args.flag(a) || args.value(a).is_some() {
+                return Err(format!("{a} given more than once"));
+            }
+            if bool_flags.contains(&a) {
+                args.flags.push(a);
+            } else {
+                match rest.next() {
+                    Some(v) if !known(v) => args.values.push((a, v)),
+                    _ => return Err(format!("{a} needs a value")),
+                }
+            }
+        }
+        Ok(args)
+    }
+
     fn value(&self, flag: &str) -> Option<&'a str> {
-        self.argv
+        self.values
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.argv.get(i + 1))
-            .map(String::as_str)
+            .find(|&&(f, _)| f == flag)
+            .map(|&(_, v)| v)
     }
 
     fn flag(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
+        self.flags.contains(&flag)
     }
 
     fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
@@ -170,27 +208,6 @@ impl<'a> Args<'a> {
                 .parse()
                 .map_err(|_| format!("bad value for {flag}: `{v}`")),
         }
-    }
-
-    /// Rejects any argument that is not a known `--flag value` pair or a
-    /// known boolean `--flag` — a typo like `--run 50` must fail loudly
-    /// instead of silently running 120 default runs.
-    fn reject_unknown(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
-        let mut i = 0;
-        while i < self.argv.len() {
-            let a = self.argv[i].as_str();
-            if value_flags.contains(&a) {
-                if self.argv.get(i + 1).is_none() {
-                    return Err(format!("{a} needs a value"));
-                }
-                i += 2;
-            } else if bool_flags.contains(&a) {
-                i += 1;
-            } else {
-                return Err(format!("unknown flag `{a}`"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -226,7 +243,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
     };
-    let args = Args { argv: &argv[1..] };
+    let args = &argv[1..];
     match cmd.as_str() {
         "list" => {
             println!("benchmarks:");
@@ -236,14 +253,14 @@ fn run(argv: &[String]) -> Result<(), String> {
             println!("cards: rtx2060, gv100, titan");
             Ok(())
         }
-        "profile" => cmd_profile(&args),
-        "campaign" => cmd_campaign(&args),
-        "serve" => cmd_serve(&args),
-        "worker" => cmd_worker(&args),
-        "avf" => cmd_avf(&args),
-        "analyze" => cmd_analyze(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "lint" => cmd_lint(&args),
+        "profile" => cmd_profile(args),
+        "campaign" => cmd_campaign(args),
+        "serve" => cmd_serve(args),
+        "worker" => cmd_worker(args),
+        "avf" => cmd_avf(args),
+        "analyze" => cmd_analyze(args),
+        "fuzz" => cmd_fuzz(args),
+        "lint" => cmd_lint(args),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -257,8 +274,8 @@ fn workload_of(args: &Args<'_>) -> Result<Box<dyn gpufi_core::Workload>, String>
     gpufi_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))
 }
 
-fn cmd_profile(args: &Args<'_>) -> Result<(), String> {
-    args.reject_unknown(&["--bench", "--card", "--config"], &[])?;
+fn cmd_profile(argv: &[String]) -> Result<(), String> {
+    let args = &Args::classify(argv, &["--bench", "--card", "--config"], &[])?;
     let workload = workload_of(args)?;
     let card = card_of(args)?;
     let golden = profile(workload.as_ref(), &card).map_err(|e| e.to_string())?;
@@ -448,7 +465,7 @@ fn svc_of(args: &Args<'_>) -> Result<ServiceConfig, String> {
     })
 }
 
-fn cmd_campaign(args: &Args<'_>) -> Result<(), String> {
+fn cmd_campaign(argv: &[String]) -> Result<(), String> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend(["--csv", "--journal", "--inject-panic-run"]);
     let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
@@ -458,7 +475,7 @@ fn cmd_campaign(args: &Args<'_>) -> Result<(), String> {
         "--no-journal",
         "--validate-sampling",
     ]);
-    args.reject_unknown(&value_flags, &bool_flags)?;
+    let args = &Args::classify(argv, &value_flags, &bool_flags)?;
     let mut setup = campaign_setup(args)?;
     if args.flag("--oracle-check") {
         setup.cfg = setup.cfg.with_oracle_check();
@@ -652,7 +669,7 @@ fn print_campaign_summary(
 /// `campaign` (the fingerprint handshake proves workers agree), plus the
 /// bind address, lease/heartbeat/deadline tuning and `--local-workers`
 /// for single-machine runs.  Owns the canonical journal/CSV/tally.
-fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend([
         "--bind",
@@ -665,9 +682,9 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
     ]);
     let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
     bool_flags.extend(["--resume", "--no-journal"]);
-    args.reject_unknown(&value_flags, &bool_flags)?;
+    let args = &Args::classify(argv, &value_flags, &bool_flags)?;
     if args.flag("--oracle-check") {
-        // reject_unknown already refused it; belt and braces for when the
+        // Args::classify already refused it; belt and braces for when the
         // flag lists drift.
         return Err("--oracle-check is a single-process validation mode; use `campaign`".into());
     }
@@ -712,7 +729,7 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
 /// `gpufi worker`: connects to a `serve` coordinator (retrying while it
 /// boots), proves it describes the same campaign via the fingerprint
 /// handshake and executes leased runs until `fin`.
-fn cmd_worker(args: &Args<'_>) -> Result<(), String> {
+fn cmd_worker(argv: &[String]) -> Result<(), String> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend([
         "--connect",
@@ -721,7 +738,7 @@ fn cmd_worker(args: &Args<'_>) -> Result<(), String> {
         "--deadline-ms",
         "--connect-wait-seconds",
     ]);
-    args.reject_unknown(&value_flags, CAMPAIGN_BOOL_FLAGS)?;
+    let args = &Args::classify(argv, &value_flags, CAMPAIGN_BOOL_FLAGS)?;
     let addr = args.value("--connect").ok_or("--connect is required")?;
     let wait_s: u64 = args.parse("--connect-wait-seconds", 30)?;
     let setup = campaign_setup(args)?;
@@ -817,8 +834,8 @@ fn validate_stratified(
 /// kernels, each executed on both the cycle-level simulator and the
 /// functional reference interpreter; the first divergence aborts with the
 /// full report and the generated kernel source.
-fn cmd_fuzz(args: &Args<'_>) -> Result<(), String> {
-    args.reject_unknown(&["--kernels", "--seed"], &[])?;
+fn cmd_fuzz(argv: &[String]) -> Result<(), String> {
+    let args = &Args::classify(argv, &["--kernels", "--seed"], &[])?;
     let count: u32 = args.parse("--kernels", 100)?;
     let seed: u64 = args.parse("--seed", 1)?;
     for i in 0..count {
@@ -890,8 +907,8 @@ fn json_opt_str(v: Option<&str>) -> String {
 /// (CFG, dominators/post-dominators, liveness and all lint passes) over
 /// one benchmark — or the whole paper suite — and reports every finding.
 /// Exits nonzero when any kernel is dirty, so CI can gate on it.
-fn cmd_lint(args: &Args<'_>) -> Result<(), String> {
-    args.reject_unknown(&["--bench"], &["--json"])?;
+fn cmd_lint(argv: &[String]) -> Result<(), String> {
+    let args = &Args::classify(argv, &["--bench"], &["--json"])?;
     let workloads: Vec<Box<dyn gpufi_core::Workload>> =
         match args.value("--bench") {
             Some(name) => vec![gpufi_workloads::by_name(name)
@@ -1003,8 +1020,8 @@ struct KernelReport {
 /// the share of campaign runs `--structure rf` pre-classifies without
 /// simulation.  Weighted by golden-run cycles per kernel, matching how the
 /// campaign draws injection cycles.
-fn cmd_analyze(args: &Args<'_>) -> Result<(), String> {
-    args.reject_unknown(&["--bench", "--card", "--config"], &["--json"])?;
+fn cmd_analyze(argv: &[String]) -> Result<(), String> {
+    let args = &Args::classify(argv, &["--bench", "--card", "--config"], &["--json"])?;
     let workloads: Vec<Box<dyn gpufi_core::Workload>> =
         match args.value("--bench") {
             Some(name) => vec![gpufi_workloads::by_name(name)
@@ -1153,8 +1170,9 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_avf(args: &Args<'_>) -> Result<(), String> {
-    args.reject_unknown(
+fn cmd_avf(argv: &[String]) -> Result<(), String> {
+    let args = &Args::classify(
+        argv,
         &[
             "--bench",
             "--card",
@@ -1216,16 +1234,32 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Classifies `argv` against the shared campaign flags.
+    fn campaign_args(argv: &[String]) -> Result<Args<'_>, String> {
+        Args::classify(argv, CAMPAIGN_VALUE_FLAGS, CAMPAIGN_BOOL_FLAGS)
+    }
+
     #[test]
     fn flag_parser() {
         let argv = args(&["--bench", "VA", "--runs", "50", "--spread"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(a.value("--bench"), Some("VA"));
         assert_eq!(a.parse("--runs", 10usize).unwrap(), 50);
         assert_eq!(a.parse("--seed", 7u64).unwrap(), 7);
         assert!(a.flag("--spread"));
         assert!(!a.flag("--missing"));
         assert!(a.parse::<usize>("--bench", 0).is_err());
+        // A value is read from its own position only: a known flag where a
+        // value is expected is an error, not a value and a flag at once.
+        let argv = args(&["--bench", "VA", "--kernel", "--spread"]);
+        let err = campaign_args(&argv).err().unwrap();
+        assert_eq!(err, "--kernel needs a value");
+        // A repeated flag is an error, not a silent first-wins.
+        let argv = args(&["--runs", "4", "--runs", "8"]);
+        let err = campaign_args(&argv).err().unwrap();
+        assert!(err.contains("--runs given more than once"), "{err}");
+        let argv = args(&["--spread", "--spread"]);
+        assert!(campaign_args(&argv).is_err());
     }
 
     #[test]
@@ -1273,16 +1307,16 @@ mod tests {
     #[test]
     fn card_resolution() {
         let argv = args(&["--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "GTX Titan");
         let argv = args(&[]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "RTX 2060");
         let argv = args(&["--card", "amd"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert!(card_of(&a).is_err());
         let argv = args(&["--config", "/nonexistent/x.config"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert!(card_of(&a).unwrap_err().contains("cannot read"));
     }
 
@@ -1317,18 +1351,46 @@ mod tests {
         // A value flag at the end of the line is missing its value.
         let err = run(&args(&["fuzz", "--kernels"])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
+        // `--csv --no-journal` must not write a CSV named `--no-journal`
+        // and silently turn journaling off.
+        let err = run(&args(&[
+            "campaign",
+            "--bench",
+            "VA",
+            "--structure",
+            "rf",
+            "--runs",
+            "4",
+            "--csv",
+            "--no-journal",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--csv needs a value"), "{err}");
+        let err = run(&args(&[
+            "campaign",
+            "--bench",
+            "VA",
+            "--structure",
+            "rf",
+            "--runs",
+            "4",
+            "--runs",
+            "8",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--runs given more than once"), "{err}");
     }
 
     #[test]
     fn runs_defaults_when_absent() {
         let argv = args(&["--bench", "VA"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(a.parse("--runs", 120usize).unwrap(), 120);
         let argv = args(&["--bench", "VA", "--runs", "37"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(a.parse("--runs", 120usize).unwrap(), 37);
         let argv = args(&["--runs", "not-a-number"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert!(a.parse::<usize>("--runs", 120).is_err());
     }
 
@@ -1337,7 +1399,7 @@ mod tests {
         // When both are given, --config wins: the unreadable file errors
         // even though the --card preset is valid.
         let argv = args(&["--config", "/nonexistent/x.config", "--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert!(card_of(&a).unwrap_err().contains("cannot read"));
         // A readable config file resolves to its own chip, not the preset.
         let dir = std::env::temp_dir().join("gpufi-cli-test");
@@ -1346,7 +1408,7 @@ mod tests {
         std::fs::write(&path, "base = rtx2060\nname = Config File Chip\n").unwrap();
         let path_s = path.to_str().unwrap().to_string();
         let argv = args(&["--config", path_s.as_str(), "--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = campaign_args(&argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "Config File Chip");
         std::fs::remove_file(&path).ok();
     }

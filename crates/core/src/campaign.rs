@@ -4,11 +4,11 @@ use crate::classify::{classify, detail_of, RunDetail};
 use crate::profile::GoldenProfile;
 use crate::sampling::{SamplingMode, SamplingSummary, StrataLayout};
 use crate::supervisor::{
-    campaign_fingerprint, catch_run, strata_hash, stratified_fingerprint, RunJournal,
+    campaign_fingerprint, catch_run, strata_hash, stratified_fingerprint, JournalSink, RunJournal,
 };
 use crate::workload::{Workload, WorkloadError};
 use gpufi_faults::{CampaignSpec, DrawError, MaskGenerator, Structure};
-use gpufi_isa::analysis::{dead_bit_masks, dead_registers};
+use gpufi_isa::analysis::dead_bit_masks;
 use gpufi_metrics::{proportional_allocation, stratified_estimate, StratumObservation};
 use gpufi_metrics::{FaultEffect, Tally};
 use gpufi_sim::{CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, Trap};
@@ -85,10 +85,10 @@ pub struct CampaignConfig {
     #[serde(default)]
     pub resume: bool,
     /// Pre-classify register-file runs whose every fault targets a
-    /// **statically dead** register — one no reachable instruction of the
-    /// faulted kernel ever reads — as Masked at the golden cycle count,
-    /// without forking a simulation (ACE-style pruning over the liveness
-    /// analysis in `gpufi_isa::analysis`).  Disable to force full
+    /// **statically dead** register — one none of whose bits a reachable
+    /// instruction of the faulted kernel ever demands — as Masked at the
+    /// golden cycle count, without forking a simulation (ACE-style pruning
+    /// over the bit-level liveness in `gpufi_isa::analysis`).  Disable to force full
     /// simulation of every run — the validation mode behind
     /// `--no-static-prune`.  Ignored (off) under `oracle_check`, which
     /// exists to validate exactly such shortcuts.
@@ -666,46 +666,12 @@ pub(crate) fn draw_stratified_plans(
     Ok((plans, layout, allocation))
 }
 
-/// Per-kernel statically-dead register sets — registers no reachable
-/// instruction of the kernel ever reads — computed once per campaign from
-/// the workload's module (the liveness analysis in
-/// `gpufi_isa::analysis`).
-pub(crate) fn dead_reg_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u8>> {
-    workload
-        .module()
-        .kernels()
-        .iter()
-        .map(|k| (k.name().to_string(), dead_registers(k)))
-        .collect()
-}
-
-/// Whether every fault of `plan` is a register-file flip landing in a
-/// register of `dead` — in which case no reachable instruction can ever
-/// observe the flipped bits, the architecturally-correct-execution
-/// argument holds unconditionally, and the run is Masked at the golden
-/// cycle count without simulating it.  Registers are zero-reinitialized at
-/// every launch, so a dead flip cannot leak into a later kernel either.
-/// The argument holds for permanent stuck-at faults too: a stuck site
-/// binds to the faulted thread's physical register and dies with it, and
-/// re-pinning a register no reachable instruction reads is as unobservable
-/// as flipping it once.
-pub(crate) fn plan_is_static_dead(plan: &InjectionPlan, dead: Option<&Vec<u8>>) -> bool {
-    let Some(dead) = dead else { return false };
-    !plan.faults.is_empty()
-        && plan.faults.iter().all(|f| match &f.target {
-            FaultTarget::RegisterFile { reg, .. } => {
-                u8::try_from(*reg).is_ok_and(|r| dead.contains(&r))
-            }
-            _ => false,
-        })
-}
-
-/// Per-kernel statically-dead **bit** masks — bit `b` of register `r` is
-/// set when no reachable instruction's bit-level live-in set ever demands
-/// it — computed once per campaign from the workload's module (the
-/// bit-granular liveness analysis in `gpufi_isa::analysis::bit_liveness`).
-/// A superset of [`dead_reg_table`]: a dead register's mask is all ones.
-pub(crate) fn dead_bit_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u32>> {
+/// Per-kernel statically-dead bit masks — bit `b` of register `r` is set
+/// when no reachable instruction's bit-level live-in set ever demands it,
+/// and a full mask marks a register whose value nothing observes —
+/// computed once per campaign from the workload's module (the bit-level
+/// liveness in `gpufi_isa::analysis::bit_liveness`).
+fn dead_bit_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u32>> {
     workload
         .module()
         .kernels()
@@ -714,64 +680,103 @@ pub(crate) fn dead_bit_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u3
         .collect()
 }
 
-/// Whether every fault of `plan` is a register-file flip whose flipped
-/// bits all land inside the statically-dead bit mask of the targeted
-/// register.  No reachable instruction ever demands those bit positions,
-/// so the flip cannot propagate into any computed value, address, store or
-/// predicate: the run is Masked at the golden cycle count without
-/// simulating it.  Only sound for transient flips — the caller gates on
-/// the fault model.
-pub(crate) fn plan_is_static_dead_bit(plan: &InjectionPlan, dead: Option<&Vec<u32>>) -> bool {
-    let Some(dead) = dead else { return false };
-    !plan.faults.is_empty()
-        && plan.faults.iter().all(|f| match &f.target {
-            FaultTarget::RegisterFile { reg, bits, .. } => dead
-                .get(*reg as usize)
-                .is_some_and(|m| bits.iter().all(|&b| b < 32 && (m >> b) & 1 == 1)),
-            _ => false,
+/// The static-prune verdict for one fault plan, given the faulted kernel's
+/// dead-bit masks `dead`; `None` when the run must be simulated.
+///
+/// - [`RunDetail::StaticDead`] when every fault is a register-file fault
+///   into a register with a full dead mask: no reachable instruction can
+///   ever observe any of its bits, so the architecturally-correct-execution
+///   argument holds unconditionally.  Registers are zero-reinitialized at
+///   every launch, so a dead fault cannot leak into a later kernel either.
+///   The argument holds for permanent stuck-at faults too: a stuck site
+///   binds to the faulted thread's physical register and dies with it, and
+///   re-pinning bits nothing demands is as unobservable as flipping them
+///   once.
+/// - [`RunDetail::StaticDeadBit`] when `bit_prune` holds and every flipped
+///   bit of every register-file fault lies inside its register's mask: the
+///   flip cannot propagate into any computed value, address, store or
+///   predicate.  Only sound for transient flips — a stuck-at re-pins the
+///   bit after every write — so the caller gates `bit_prune` on the model.
+fn static_prune_detail(plan: &InjectionPlan, dead: &[u32], bit_prune: bool) -> Option<RunDetail> {
+    let faults: Vec<(u32, &[u8])> = plan
+        .faults
+        .iter()
+        .map(|f| match &f.target {
+            FaultTarget::RegisterFile { reg, bits, .. } => {
+                dead.get(*reg as usize).map(|&m| (m, bits.as_slice()))
+            }
+            _ => None,
         })
-}
-
-/// The static-prune verdict for one pre-drawn run: the [`RunRecord`] the
-/// analyzer pre-classifies it with, or `None` when the run must be
-/// simulated.  Shared by the single-process scheduler and the distributed
-/// coordinator so a pruned campaign is byte-identical either way.
-pub(crate) fn static_prune_record(
-    plan: &RunPlan,
-    dead_regs: &BTreeMap<String, Vec<u8>>,
-    dead_bits: Option<&BTreeMap<String, Vec<u32>>>,
-    golden_cycles: u64,
-) -> Option<RunRecord> {
-    let detail = if plan_is_static_dead(&plan.plan, dead_regs.get(&plan.kernel)) {
-        RunDetail::StaticDead
-    } else if plan_is_static_dead_bit(&plan.plan, dead_bits.and_then(|t| t.get(&plan.kernel))) {
-        RunDetail::StaticDeadBit
+        .collect::<Option<_>>()?;
+    if faults.is_empty() {
+        None
+    } else if faults.iter().all(|&(m, _)| m == u32::MAX) {
+        Some(RunDetail::StaticDead)
+    } else if bit_prune
+        && faults
+            .iter()
+            .all(|&(m, bits)| bits.iter().all(|&b| b < 32 && (m >> b) & 1 == 1))
+    {
+        Some(RunDetail::StaticDeadBit)
     } else {
-        return None;
-    };
-    // Exactly what the fault-lifetime early exit records for a flip the
-    // machine provably never reads back, so pruned and unpruned campaigns
-    // stay diffable.
-    Some(RunRecord {
-        effect: FaultEffect::Masked,
-        cycles: golden_cycles,
-        applied: true,
-        early_exit: false,
-        ckpt_skipped_cycles: 0,
-        detail,
-        stratum: plan.stratum,
-    })
+        None
+    }
 }
 
-/// The bit-granular dead-bit table when the campaign qualifies for bit
-/// pruning (see [`CampaignConfig::bit_prune`]): transient model only —
-/// a permanent stuck-at re-pins on every write, and the per-flip masking
-/// argument is only proven for single flips.
-pub(crate) fn bit_prune_table(
+/// The static prune, shared by the single-process scheduler and the
+/// distributed coordinator so a pruned campaign is byte-identical either
+/// way: every still-empty slot whose run [`static_prune_detail`] proves
+/// Masked is filled (through `fill`) and journalled for resume, and is
+/// never scheduled.
+///
+/// `--oracle-check` exists to validate such shortcuts, so it bypasses the
+/// prune and fully simulates every run.  Stratified campaigns skip it too:
+/// their draw already excludes dead registers (they fall in the
+/// analytically-masked stratum), so every planned run must be simulated
+/// for the reweighting to stay unbiased.  The bit-granular verdict needs
+/// [`CampaignConfig::bit_prune`] and a transient fault model.
+pub(crate) fn static_prune<T>(
     workload: &dyn Workload,
     cfg: &CampaignConfig,
-) -> Option<BTreeMap<String, Vec<u32>>> {
-    (cfg.bit_prune && !cfg.spec.model.is_permanent()).then(|| dead_bit_table(workload))
+    plans: &[RunPlan],
+    golden_cycles: u64,
+    slots: &mut [Option<T>],
+    journal: Option<&JournalSink>,
+    fill: impl Fn(RunRecord) -> T,
+) {
+    if !cfg.static_prune || cfg.oracle_check || cfg.sampling != SamplingMode::Flat {
+        return;
+    }
+    let dead = dead_bit_table(workload);
+    let bit_prune = cfg.bit_prune && !cfg.spec.model.is_permanent();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        if slot.is_some() {
+            continue;
+        }
+        let plan = &plans[i];
+        let Some(detail) = dead
+            .get(&plan.kernel)
+            .and_then(|d| static_prune_detail(&plan.plan, d, bit_prune))
+        else {
+            continue;
+        };
+        // Exactly what the fault-lifetime early exit records for a flip the
+        // machine provably never reads back, so pruned and unpruned
+        // campaigns stay diffable.
+        let rec = RunRecord {
+            effect: FaultEffect::Masked,
+            cycles: golden_cycles,
+            applied: true,
+            early_exit: false,
+            ckpt_skipped_cycles: 0,
+            detail,
+            stratum: plan.stratum,
+        };
+        if let Some(s) = journal {
+            s.append(i, &rec);
+        }
+        *slot = Some(fill(rec));
+    }
 }
 
 /// Re-runs the golden execution once with the checkpoint recorder armed
@@ -1254,37 +1259,15 @@ pub fn run_campaign_with_hook(
         }
         None => (None, None),
     };
-    // Static prune: runs whose every fault lands in a register the faulted
-    // kernel never reads (StaticDead), or — at bit granularity — whose
-    // every flipped bit lands in a bit position no reachable instruction
-    // ever demands (StaticDeadBit), are Masked by construction — classify
-    // them here, journal them for resume, and never schedule them.
-    // `--oracle-check` exists to validate such shortcuts, so it bypasses
-    // the prune and fully simulates every run.  Stratified campaigns skip
-    // it too: their draw already excludes dead registers (they fall in the
-    // analytically-masked stratum), so every planned run must be simulated
-    // for the reweighting to stay unbiased.
-    if cfg.static_prune && !cfg.oracle_check && strata.is_none() {
-        let dead_regs = dead_reg_table(workload);
-        let dead_bits = bit_prune_table(workload, cfg);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(rec) = static_prune_record(
-                &plans[i],
-                &dead_regs,
-                dead_bits.as_ref(),
-                golden.total_cycles(),
-            ) else {
-                continue;
-            };
-            if let Some(s) = &journal_sink {
-                s.append(i, &rec);
-            }
-            *slot = Some((rec, OracleVerdict::default()));
-        }
-    }
+    static_prune(
+        workload,
+        cfg,
+        &plans,
+        golden.total_cycles(),
+        &mut slots,
+        journal_sink.as_ref(),
+        |rec| (rec, OracleVerdict::default()),
+    );
     let pending: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();
 
     // Oracle validation first: a functionally wrong golden run poisons

@@ -18,9 +18,8 @@
 use super::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
 use crate::campaign::{
-    base_stats, bit_prune_table, dead_reg_table, draw_plans, draw_stratified_plans,
-    full_fingerprint, sampling_summary, static_prune_record, CampaignConfig, CampaignResult,
-    RunPlan, RunRecord, WorkerThroughput,
+    base_stats, draw_plans, draw_stratified_plans, full_fingerprint, sampling_summary,
+    static_prune, CampaignConfig, CampaignResult, RunPlan, RunRecord, WorkerThroughput,
 };
 use crate::profile::GoldenProfile;
 use crate::sampling::{SamplingMode, StrataLayout};
@@ -154,30 +153,17 @@ pub fn serve_campaign_with_chaos(
         None => (None, None),
     };
 
-    // Static prune (register- and bit-granular) on the coordinator: pruned
-    // runs are never leased, so workers never see them — same records as
-    // the local prune.
-    if cfg.static_prune && !cfg.oracle_check && strata.is_none() {
-        let dead_regs = dead_reg_table(workload);
-        let dead_bits = bit_prune_table(workload, cfg);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(rec) = static_prune_record(
-                &plans[i],
-                &dead_regs,
-                dead_bits.as_ref(),
-                golden.total_cycles(),
-            ) else {
-                continue;
-            };
-            if let Some(s) = &journal_sink {
-                s.append(i, &rec);
-            }
-            *slot = Some(rec);
-        }
-    }
+    // Static prune on the coordinator: pruned runs are never leased, so
+    // workers never see them — same records as the local prune.
+    static_prune(
+        workload,
+        cfg,
+        &plans,
+        golden.total_cycles(),
+        &mut slots,
+        journal_sink.as_ref(),
+        |rec| rec,
+    );
 
     // Partition the missing index space into leases, ascending.
     let pending: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();

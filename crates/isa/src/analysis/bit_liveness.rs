@@ -1,11 +1,11 @@
-//! Backward dataflow liveness at **bit** granularity.
+//! Backward dataflow liveness at **bit** granularity — the one liveness
+//! dataflow of the analysis crate.
 //!
-//! This generalizes [`super::liveness`] from whole-register sets to
-//! per-register 32-bit *live-bit masks*: bit `b` of register `r` is live at
-//! a program point when some execution continuing from that point can
-//! observe the value of that bit.  The transfer functions translate demand
-//! through the data path instead of treating every read as a full-width
-//! use:
+//! Each register carries a 32-bit *live-bit mask*: bit `b` of register
+//! `r` is live at a program point when some execution continuing from
+//! that point can observe the value of that bit.  The transfer functions
+//! translate demand through the data path instead of treating every read
+//! as a full-width use:
 //!
 //! - `AND Rd, Ra, imm` demands of `Ra` only the bits the mask keeps (and
 //!   `OR` only the bits the mask does not force to one);
@@ -17,18 +17,20 @@
 //!   conservatively widen to all 32 bits (for addresses unconditionally:
 //!   a flipped address bit can fault even when the loaded value is dead).
 //!
-//! Soundness mirrors the register-level analysis: a predicated definition
-//! does not kill, reads always gen (including guard predicates), and joins
-//! union.  The derived [`BitLiveness::dead_bit_masks`] therefore
+//! The analysis is a sound may-liveness: a predicated definition (`@P MOV
+//! R1, …`) does not kill — when the guard is false the old value survives
+//! — reads always gen (including guard predicates and `SEL`'s selector),
+//! and joins union.  The derived [`BitLiveness::dead_bit_masks`] therefore
 //! over-approximates nothing: a bit in no reachable instruction's live-in
-//! mask can never flow into an observable value, so a transient fault
-//! flipped into it is architecturally masked — the bit-ACE criterion the
-//! campaign's `static_dead_bit` prune consults.  By construction every bit
-//! gen is a subset of a register-level read, so bit liveness *refines*
-//! register liveness: it never marks a bit live inside a register the
-//! register-level analysis proves dead.
+//! mask can never flow into an observable value, so a fault in it is
+//! architecturally masked — the ACE criterion the campaign's static prune
+//! consults (`static_dead` for a full mask, `static_dead_bit` for a
+//! transient flip inside a partial one).  Every bit gen is a register
+//! read, so a register the reachable-reads scan
+//! [`super::liveness::dead_registers`] reports dead always has a full
+//! mask here.
 
-use super::cfg::instr_succs;
+use super::cfg::{instr_succs, Cfg};
 use crate::instr::{Instr, Op, Operand};
 use crate::op::BitOp;
 use crate::Kernel;
@@ -59,10 +61,10 @@ fn above_lsb(m: u32) -> u32 {
 /// Live-bit masks for every register plus a live-predicate mask, at one
 /// program point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitLiveSet {
+struct BitLiveSet {
     regs: Vec<u32>,
     /// Live predicates, bit `i` = `Pi`.
-    pub preds: u8,
+    preds: u8,
 }
 
 impl BitLiveSet {
@@ -74,7 +76,7 @@ impl BitLiveSet {
     }
 
     /// Live-bit mask of register index `r` (0 for unallocated registers).
-    pub fn reg(&self, r: u8) -> u32 {
+    fn reg(&self, r: u8) -> u32 {
         self.regs.get(r as usize).copied().unwrap_or(0)
     }
 
@@ -84,17 +86,11 @@ impl BitLiveSet {
         }
     }
 
-    fn union_with(&mut self, other: &BitLiveSet) -> bool {
-        let mut changed = false;
+    fn union_with(&mut self, other: &BitLiveSet) {
         for (a, b) in self.regs.iter_mut().zip(&other.regs) {
-            let next = *a | b;
-            changed |= next != *a;
-            *a = next;
+            *a |= b;
         }
-        let p = self.preds | other.preds;
-        changed |= p != self.preds;
-        self.preds = p;
-        changed
+        self.preds |= other.preds;
     }
 }
 
@@ -106,13 +102,13 @@ fn def_pred(op: &Op) -> Option<u8> {
     }
 }
 
-/// Per-instruction bit-level liveness for one kernel.
+/// Bit-level liveness for one kernel, folded over its reachable program
+/// points.
 #[derive(Debug, Clone)]
 pub struct BitLiveness {
-    live_in: Vec<BitLiveSet>,
-    live_out: Vec<BitLiveSet>,
-    reachable: Vec<bool>,
-    nregs: usize,
+    /// Per register, the union of its live-in bit masks over every
+    /// reachable instruction.
+    anywhere: Vec<u32>,
 }
 
 impl BitLiveness {
@@ -127,24 +123,9 @@ impl BitLiveness {
             .map_or(0, |m| m as usize + 1)
             .max(kernel.num_regs() as usize);
         let mut live_in = vec![BitLiveSet::empty(nregs); n];
-        let mut live_out = vec![BitLiveSet::empty(nregs); n];
 
-        // Reachability from instruction 0 over the same successor relation
-        // as the register-level analysis.
-        let mut reachable = vec![false; n];
-        if n > 0 {
-            let mut stack = vec![0usize];
-            reachable[0] = true;
-            while let Some(i) = stack.pop() {
-                for s in instr_succs(instrs, i) {
-                    if !reachable[s] {
-                        reachable[s] = true;
-                        stack.push(s);
-                    }
-                }
-            }
-        }
-
+        // A pass that changes no live-in set has reached the fixed point:
+        // every live-out is a join of successor live-ins.
         let mut changed = true;
         while changed {
             changed = false;
@@ -154,10 +135,6 @@ impl BitLiveness {
                     out.union_with(&live_in[s]);
                 }
                 let inn = transfer(&instrs[i], &out);
-                if live_out[i] != out {
-                    live_out[i] = out;
-                    changed = true;
-                }
                 if live_in[i] != inn {
                     live_in[i] = inn;
                     changed = true;
@@ -165,43 +142,14 @@ impl BitLiveness {
             }
         }
 
-        BitLiveness {
-            live_in,
-            live_out,
-            reachable,
-            nregs,
-        }
-    }
-
-    /// Live-in set of instruction `i`.
-    pub fn live_in(&self, i: usize) -> &BitLiveSet {
-        &self.live_in[i]
-    }
-
-    /// Live-out set of instruction `i`.
-    pub fn live_out(&self, i: usize) -> &BitLiveSet {
-        &self.live_out[i]
-    }
-
-    /// Whether instruction `i` is reachable from the kernel entry.
-    pub fn is_reachable(&self, i: usize) -> bool {
-        self.reachable[i]
-    }
-
-    /// The union of live-in bit masks over every reachable instruction:
-    /// bit `b` of entry `r` is set when that bit is live at *some*
-    /// reachable program point.
-    pub fn live_anywhere(&self) -> Vec<u32> {
-        let mut union = vec![0u32; self.nregs];
-        for (i, set) in self.live_in.iter().enumerate() {
-            if !self.reachable[i] {
-                continue;
-            }
-            for (u, m) in union.iter_mut().zip(&set.regs) {
+        let mut anywhere = vec![0u32; nregs];
+        let reachable = Cfg::build(instrs).reachable_instrs();
+        for (set, _) in live_in.iter().zip(reachable).filter(|&(_, r)| r) {
+            for (u, m) in anywhere.iter_mut().zip(&set.regs) {
                 *u |= m;
             }
         }
-        union
+        BitLiveness { anywhere }
     }
 
     /// Per-register statically-dead-bit masks over `0 .. num_regs`: bit `b`
@@ -213,12 +161,11 @@ impl BitLiveness {
     /// flip lands, the bit is dead there, so the corrupted value can never
     /// reach an instruction that observes it (and register files do not
     /// persist across launches).  A fully dead register reports
-    /// `0xffff_ffff`, making this a strict refinement of
-    /// [`super::liveness::dead_registers`].
+    /// `0xffff_ffff`; every register [`super::liveness::dead_registers`]
+    /// reports is one.
     pub fn dead_bit_masks(&self, num_regs: u8) -> Vec<u32> {
-        let anywhere = self.live_anywhere();
         (0..num_regs as usize)
-            .map(|r| !anywhere.get(r).copied().unwrap_or(0))
+            .map(|r| !self.anywhere.get(r).copied().unwrap_or(0))
             .collect()
     }
 }
@@ -466,6 +413,33 @@ mod tests {
         for r in dead_registers(&k) {
             assert_eq!(d[r as usize], u32::MAX);
         }
+    }
+
+    #[test]
+    fn unguarded_def_kills_bits() {
+        // The unguarded MOV overwrites R1 before the store reads it, so
+        // nothing demands the copy of R2: every bit of R2 is dead even
+        // though a reachable instruction reads it.
+        let (_, d) = masks(
+            ".kernel k\n.params 1\n LDG R2, [R0]\n MOV R1, R2\n MOV R1, 5\n \
+             STG [R0], R1\n EXIT\n",
+        );
+        assert_eq!(d[2], u32::MAX);
+        assert_eq!(d[1], 0);
+    }
+
+    #[test]
+    fn sel_demands_its_predicate() {
+        // The stored SEL result demands its selector P2, which demands the
+        // full width of the compared R5; R6 feeds a compare whose
+        // predicate nothing reads and stays fully dead.
+        let (_, d) = masks(
+            ".kernel k\n.params 1\n.regs 7\n LDG R5, [R0]\n LDG R6, [R0+4]\n \
+             ISETP.EQ P2, R5, 0\n ISETP.EQ P3, R6, 0\n MOV R1, 1\n MOV R2, 2\n \
+             SEL R3, R1, R2, P2\n STG [R0], R3\n EXIT\n",
+        );
+        assert_eq!(d[5], 0);
+        assert_eq!(d[6], u32::MAX);
     }
 
     #[test]

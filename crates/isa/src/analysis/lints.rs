@@ -31,7 +31,7 @@
 use super::cfg::{instr_succs, Cfg};
 use super::dom::{reconvergence_violations, DomInfo};
 use super::known_bits::KnownBitsAnalysis;
-use super::liveness::Liveness;
+use super::liveness::write_never_read;
 use crate::instr::{Guard, MemSpace, Op, Operand};
 use crate::op::{BitOp, IntOp};
 use crate::reg::SpecialReg;
@@ -197,7 +197,6 @@ impl fmt::Display for Finding {
 pub fn lint_kernel(kernel: &Kernel) -> Vec<Finding> {
     let cfg = Cfg::build(kernel.instrs());
     let dom = DomInfo::compute(&cfg);
-    let liveness = Liveness::compute(kernel);
 
     let mut findings = Vec::new();
     findings.extend(lint_unreachable(&cfg));
@@ -206,7 +205,14 @@ pub fn lint_kernel(kernel: &Kernel) -> Vec<Finding> {
             .into_iter()
             .map(|(ssy, target)| Finding::BadReconvergence { ssy, target }),
     );
-    findings.extend(lint_write_never_read(kernel, &liveness));
+    findings.extend(
+        write_never_read(kernel)
+            .into_iter()
+            .map(|(r, first_write)| Finding::WriteNeverRead {
+                reg: Reg::new(r).expect("register index from kernel"),
+                first_write,
+            }),
+    );
     findings.extend(lint_uninitialized(kernel, &cfg));
     findings.extend(lint_barrier_divergence(kernel));
     findings.extend(lint_shared_races(kernel, &cfg));
@@ -237,23 +243,6 @@ fn lint_unreachable(cfg: &Cfg) -> Vec<Finding> {
     }
     if let Some((start, end)) = open {
         out.push(Finding::UnreachableCode { start, end });
-    }
-    out
-}
-
-fn lint_write_never_read(kernel: &Kernel, liveness: &Liveness) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for r in liveness.write_never_read() {
-        let first_write = (0..kernel.instrs().len())
-            .find(|&i| {
-                liveness.is_reachable(i)
-                    && kernel.instrs()[i].op.dest_reg().map(Reg::index) == Some(r)
-            })
-            .unwrap_or(0);
-        out.push(Finding::WriteNeverRead {
-            reg: Reg::new(r).expect("register index from kernel"),
-            first_write,
-        });
     }
     out
 }

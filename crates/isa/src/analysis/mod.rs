@@ -1,5 +1,5 @@
-//! Static analysis over SASS-lite kernels: CFG, dominators, liveness, and
-//! lint passes.
+//! Static analysis over SASS-lite kernels: CFG, dominators, bit-level
+//! liveness, known bits, and lint passes.
 //!
 //! The analyses serve two production roles in the fault-injection pipeline:
 //!
@@ -8,13 +8,17 @@
 //!    unreachable code, write-never-read registers, malformed reconvergence
 //!    points) over a kernel.  The `gpufi lint` CLI, the kernel fuzzer, and
 //!    the bundled-workload test suite all gate on it.
-//! 2. **ACE-style campaign pruning** — [`dead_registers`] computes, per
-//!    kernel, the allocated registers no reachable instruction ever reads.
-//!    A register-file fault injected into such a register is architecturally
-//!    un-ACE (cannot affect correct execution), so the campaign engine
-//!    classifies it Masked without simulating the run; see
-//!    `gpufi_core::CampaignConfig` and its `--no-static-prune` validation
-//!    mode for the equivalence harness.
+//! 2. **ACE-style campaign pruning** — [`dead_bit_masks`] runs the one
+//!    backward dataflow, [`bit_liveness`], and reports per kernel the
+//!    register bits no reachable instruction ever demands.  A register-file
+//!    fault landing only in such bits is architecturally un-ACE (cannot
+//!    affect correct execution), so the campaign engine classifies it
+//!    Masked without simulating the run; see `gpufi_core::CampaignConfig`
+//!    and its `--no-static-prune` validation mode for the equivalence
+//!    harness.  The register-granular facts — [`dead_registers`] (the
+//!    allocated registers no reachable instruction reads) and
+//!    [`read_spans`] — come from a plain scan of the reachable
+//!    instructions in [`liveness`].
 //!
 //! # Example
 //!
@@ -41,12 +45,12 @@ pub mod known_bits;
 pub mod lints;
 pub mod liveness;
 
-pub use bit_liveness::{dead_bit_masks, BitLiveSet, BitLiveness};
+pub use bit_liveness::{dead_bit_masks, BitLiveness};
 pub use cfg::{instr_succs, BasicBlock, Cfg};
 pub use dom::{reconvergence_violations, DomInfo};
 pub use known_bits::{KnownBits, KnownBitsAnalysis, KnownState};
 pub use lints::{lint_kernel, Finding};
-pub use liveness::{dead_registers, read_spans, LiveSet, Liveness, RegSet};
+pub use liveness::{dead_registers, read_spans};
 
 use crate::Module;
 

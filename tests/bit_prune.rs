@@ -199,26 +199,35 @@ fn dead_bit_flips_simulate_to_masked() {
     );
 }
 
-/// Property test over 200 fuzzed kernels: the bit-level liveness is a
-/// strict refinement of the register-level `dead_registers` analysis —
-/// a register's dead-bit mask is full exactly when the register-level
-/// analysis declares the whole register dead, and never fuller.
+/// Property test over 200 fuzzed kernels and every kernel of the bundled
+/// paper suite: a register's dead-bit mask is full exactly when the
+/// reachable-reads scan `dead_registers` declares the whole register dead.
+/// The campaign's static prune reads only the masks (a full mask is
+/// `static_dead`), so on these kernels its verdicts match the
+/// register-level definition of a dead register.
 #[test]
 fn bit_liveness_refines_dead_registers_on_fuzz_corpus() {
-    for seed in 0..200u64 {
+    let fuzz = (0..200u64).map(|seed| {
         let case = gen_case(seed);
         let module = Module::assemble(&case.source).expect("fuzzer emits valid asm");
+        (format!("fuzz seed {seed}"), module)
+    });
+    let bundled = paper_suite()
+        .into_iter()
+        .map(|w| (w.name().to_string(), w.module().clone()));
+    for (origin, module) in fuzz.chain(bundled) {
         for kernel in module.kernels() {
             let dead_regs = dead_registers(kernel);
             let masks = dead_bit_masks(kernel);
-            assert_eq!(masks.len(), kernel.num_regs() as usize, "seed {seed}");
+            assert_eq!(masks.len(), kernel.num_regs() as usize, "{origin}");
             for (r, &mask) in masks.iter().enumerate() {
                 let reg_dead = dead_regs.contains(&(r as u8));
                 assert_eq!(
                     mask == u32::MAX,
                     reg_dead,
-                    "seed {seed} R{r}: dead-bit mask {mask:#010x} contradicts \
-                     register-level dead={reg_dead}"
+                    "{origin}/{} R{r}: dead-bit mask {mask:#010x} contradicts \
+                     register-level dead={reg_dead}",
+                    kernel.name()
                 );
             }
         }
